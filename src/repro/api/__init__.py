@@ -22,8 +22,6 @@ from repro.api.schema import (
     SynthesisResponse,
     check_api_version,
     is_delta_document,
-    memo_snapshot_from_wire,
-    memo_snapshot_to_wire,
     options_from_dict,
     options_to_dict,
 )
@@ -42,8 +40,6 @@ __all__ = [
     "SynthesisResponse",
     "check_api_version",
     "is_delta_document",
-    "memo_snapshot_from_wire",
-    "memo_snapshot_to_wire",
     "options_from_dict",
     "options_to_dict",
 ]

@@ -26,11 +26,9 @@ JSON-safe dicts:
 * the **fleet documents** (:class:`LeaseRequest`, :class:`LeaseGrant`,
   :class:`LeaseCompletion`, :class:`HeartbeatRequest`) — the work-pull
   protocol between a coordinator (``repro serve --fleet``) and its
-  runners (``repro worker``).  Verdict-memo snapshots ride inside them as
-  base64-wrapped pickles (:func:`memo_snapshot_to_wire`): memo keys hold
-  Kripke states and rule tables, which have no JSON form, and the fleet
-  trusts its runners exactly as far as the process pool already trusts
-  its workers (same pickle channel, same deployment boundary).
+  runners (``repro worker``).  Like every other document they are plain
+  JSON: no verdict memo, or anything else that would need unpickling,
+  crosses the host boundary.
 
 Documents carry ``"api": "repro-api/1"``; parsers accept a missing marker
 (hand-written requests) but refuse a mismatched one with
@@ -40,9 +38,6 @@ rejecting v1 clients loudly instead of mis-parsing them.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -58,7 +53,6 @@ from repro.net.serialize import (
     unit_order_to_wire,
 )
 from repro.net.fields import TrafficClass
-from repro.perf.memo import MemoSnapshot
 from repro.service.jobs import JobResult, JobStatus, SynthesisJob, SynthesisOptions
 from repro.synthesis.plan import UpdatePlan
 
@@ -93,7 +87,6 @@ def options_to_dict(options: SynthesisOptions) -> Dict[str, Any]:
         "timeout": options.timeout,
         "portfolio": list(options.portfolio),
         "memoize": options.memoize,
-        "shards": options.shards,
         "use_plan_cache": options.use_plan_cache,
         "preflight": options.preflight,
     }
@@ -115,8 +108,9 @@ def options_from_dict(
     back to ``base`` (the receiving scheduler's ``default_options`` — how
     ``repro serve --timeout 30`` still bounds a request that only picks a
     checker) or, without a base, to the :class:`SynthesisOptions`
-    defaults.  Unknown keys, unknown checker names, non-numeric timeouts
-    and non-positive shard counts all raise
+    defaults.  Unknown keys (including fields since removed from
+    ``repro-api/1``), unknown checker names and non-numeric timeouts all
+    raise
     :class:`~repro.errors.ParseError` (the ``parse`` family, wire code 4 /
     HTTP 400).
     """
@@ -126,7 +120,7 @@ def options_from_dict(
     known = {
         "checker", "granularity", "remove_waits", "use_counterexamples",
         "use_early_termination", "use_reachability_heuristic", "timeout",
-        "portfolio", "memoize", "shards", "use_plan_cache", "preflight",
+        "portfolio", "memoize", "use_plan_cache", "preflight",
     }
     unknown = set(data) - known
     if unknown:
@@ -152,9 +146,6 @@ def options_from_dict(
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
             raise ParseError(f"options.timeout: expected a number, got {timeout!r}")
         timeout = float(timeout)
-    shards = data.get("shards", base.shards)
-    if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-        raise ParseError(f"options.shards: expected an integer >= 1, got {shards!r}")
     return SynthesisOptions(
         checker=checker,
         granularity=granularity,
@@ -171,7 +162,6 @@ def options_from_dict(
         timeout=timeout,
         portfolio=portfolio,
         memoize=_require_bool(data, "memoize", base.memoize),
-        shards=shards,
         use_plan_cache=_require_bool(data, "use_plan_cache", base.use_plan_cache),
         preflight=_require_bool(data, "preflight", base.preflight),
     )
@@ -532,46 +522,6 @@ class ErrorEnvelope:
 
 
 # ----------------------------------------------------------------------
-# fleet: memo snapshots on the wire
-# ----------------------------------------------------------------------
-def memo_snapshot_to_wire(snapshot: MemoSnapshot) -> str:
-    """Encode a :class:`~repro.perf.memo.MemoSnapshot` for a JSON document.
-
-    Memo entries key on Kripke states and rule tables — picklable value
-    types with no JSON form — so the wire carries the same pickle the
-    process pool already ships, base64-wrapped to survive JSON transport.
-    This is a *trusted-deployment* channel: a coordinator and its runners
-    are one installation, exactly like a service and its pool workers.
-    """
-    return base64.b64encode(
-        pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def memo_snapshot_from_wire(text: str) -> MemoSnapshot:
-    """Inverse of :func:`memo_snapshot_to_wire`.
-
-    Raises :class:`~repro.errors.ParseError` on anything that is not a
-    base64-wrapped pickled :class:`~repro.perf.memo.MemoSnapshot` —
-    truncated transfers and hand-mangled documents fail loudly instead of
-    poisoning a memo pool.
-    """
-    if not isinstance(text, str):
-        raise ParseError(f"memo snapshot: expected a string, got {text!r}")
-    try:
-        snapshot = pickle.loads(base64.b64decode(text.encode("ascii"), validate=True))
-    except (binascii.Error, UnicodeEncodeError, pickle.UnpicklingError, EOFError,
-            AttributeError, ImportError, IndexError, TypeError, ValueError) as err:
-        raise ParseError(f"memo snapshot: undecodable: {err!r}") from err
-    if not isinstance(snapshot, MemoSnapshot):
-        raise ParseError(
-            f"memo snapshot: decoded to {type(snapshot).__name__}, "
-            "expected MemoSnapshot"
-        )
-    return snapshot
-
-
-# ----------------------------------------------------------------------
 # fleet: the work-pull protocol
 # ----------------------------------------------------------------------
 #: Statuses a runner may report for an executed group — the runner-contract
@@ -599,9 +549,8 @@ def _require_str(data: Mapping[str, Any], key: str, *, where: str) -> str:
 class LeaseRequest:
     """A runner asking the coordinator for work (``POST /v1/fleet/lease``).
 
-    ``worker_id`` is the runner's self-chosen stable identity — it drives
-    rendezvous routing, so a restarted runner that keeps its id inherits
-    its old scope affinity.  ``max_groups`` bounds how many job groups one
+    ``worker_id`` is the runner's self-chosen stable identity: leases and
+    heartbeats are held in its name.  ``max_groups`` bounds how many job groups one
     lease call may return; ``wait`` long-polls the coordinator for up to
     that many seconds when no eligible work is queued.
     """
@@ -653,9 +602,8 @@ class LeaseGrant:
 
     Carries everything a runner needs to execute the group with the
     in-process engine: the problem document, the *full* resolved options
-    (portfolio, shards, timeout — the runner re-creates the exact
-    execution the coordinator would have run locally), the memo scope and
-    a wire-encoded snapshot of it (``memo``), and the lease terms —
+    (portfolio, timeout — the runner re-creates the exact execution the
+    coordinator would have run locally), and the lease terms —
     ``deadline_seconds`` before an unheartbeated lease is re-enqueued,
     and ``attempt`` (1-based) for observability.
 
@@ -670,8 +618,6 @@ class LeaseGrant:
     fingerprint: str
     problem: Problem
     options: SynthesisOptions
-    scope: Optional[str] = None
-    memo: Optional[str] = None
     deadline_seconds: float = 30.0
     attempt: int = 1
     warm_order: Optional[Tuple[Any, ...]] = None
@@ -686,10 +632,6 @@ class LeaseGrant:
             "deadline_seconds": self.deadline_seconds,
             "attempt": self.attempt,
         }
-        if self.scope is not None:
-            out["scope"] = self.scope
-        if self.memo is not None:
-            out["memo"] = self.memo
         if self.warm_order is not None:
             out["warm_order"] = unit_order_to_wire(self.warm_order)
         return out
@@ -728,12 +670,6 @@ class LeaseGrant:
             raise ParseError(
                 f"lease grant: attempt must be an integer >= 1, got {attempt!r}"
             )
-        scope = data.get("scope")
-        if scope is not None:
-            scope = str(scope)
-        memo = data.get("memo")
-        if memo is not None and not isinstance(memo, str):
-            raise ParseError(f"lease grant: memo must be a string, got {memo!r}")
         warm_order = data.get("warm_order")
         if warm_order is not None:
             if not isinstance(warm_order, (list, tuple)):
@@ -746,8 +682,6 @@ class LeaseGrant:
             fingerprint=str(data.get("fingerprint", "")),
             problem=problem,
             options=options,
-            scope=scope,
-            memo=memo,
             deadline_seconds=float(deadline),
             attempt=attempt,
             warm_order=warm_order,
@@ -762,26 +696,20 @@ class LeaseCompletion:
     (one of :data:`PAYLOAD_STATUSES`), ``plan`` (a plan document, for
     ``done``), ``seconds``, ``backend``, ``message`` — exactly what a
     local ``_execute_*`` runner would have yielded, so the coordinator
-    settles fleet results through the same code path.  ``memo`` carries
-    the runner's drained verdict-memo deltas (wire-encoded), merged
-    conflict-checked like any pool worker's.
+    settles fleet results through the same code path.
     """
 
     lease_id: str
     worker_id: str
     payload: Dict[str, Any]
-    memo: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "api": API_VERSION,
             "lease": self.lease_id,
             "worker": self.worker_id,
             "payload": dict(self.payload),
         }
-        if self.memo is not None:
-            out["memo"] = self.memo
-        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LeaseCompletion":
@@ -807,16 +735,10 @@ class LeaseCompletion:
         seconds = payload.get("seconds", 0.0)
         if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
             raise ParseError(f"lease completion: bad seconds {seconds!r}")
-        memo = data.get("memo")
-        if memo is not None and not isinstance(memo, str):
-            raise ParseError(
-                f"lease completion: memo must be a string, got {memo!r}"
-            )
         return cls(
             lease_id=lease_id,
             worker_id=worker_id,
             payload=dict(payload),
-            memo=memo,
         )
 
 

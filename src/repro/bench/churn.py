@@ -141,7 +141,6 @@ def run_churn_suite(
         "checker": checker,
         "workers": 0,
         "memoize": memoize,
-        "shards": 1,
         "meta": collect_meta(),
         "env": {
             "python": platform.python_version(),

@@ -77,7 +77,6 @@ def run_suite(
     timeout: Optional[float] = 120.0,
     checker: str = "incremental",
     memoize: bool = True,
-    shards: int = 1,
 ) -> Dict[str, Any]:
     """Execute every scenario of ``suite`` and return the BENCH document.
 
@@ -85,16 +84,8 @@ def run_suite(
     per-scenario timings comparable across runs); a positive count uses the
     service's worker pool.  ``memoize`` toggles the cross-candidate verdict
     memo (:mod:`repro.perf`) — verdict-preserving, so the two settings must
-    agree on every status and plan shape.  ``shards`` > 1 races that many
-    disjoint search-space slices per scenario on the pool (shard A/B runs
-    compare wall time, not plan bytes: whichever shard wins picked the plan).
+    agree on every status and plan shape.
     """
-    if shards > 1 and workers <= 1:
-        # the serial path runs unsharded; stamping "shards: N" into the
-        # document for a serial run would misrepresent the configuration
-        raise ReproError(
-            f"--shards {shards} needs a worker pool: pass --workers >= 2"
-        )
     records = generate_corpus(suite, quick=quick, base_seed=base_seed)
     if not records:
         raise ReproError(f"suite {suite!r} produced no scenarios")
@@ -109,7 +100,6 @@ def run_suite(
                 granularity=record.granularity,
                 timeout=timeout,
                 memoize=memoize,
-                shards=shards,
             ),
         )
     start = time.perf_counter()
@@ -148,8 +138,6 @@ def run_suite(
                     memo_hits=stats.memo_hits,
                     memo_pruned=stats.memo_pruned,
                 )
-            if stats.shards:
-                row["shards"] = stats.shards
             if record.perturbation == "robust":
                 # dataset robustness axis: quantify the plan's single-link
                 # failure blast radius alongside its timings
@@ -184,7 +172,6 @@ def run_suite(
         "checker": checker,
         "workers": workers,
         "memoize": memoize,
-        "shards": shards,
         "meta": collect_meta(),
         "env": {
             "python": platform.python_version(),

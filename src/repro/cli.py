@@ -19,7 +19,7 @@ Subcommands:
   local pool (:mod:`repro.fleet`).
 * ``worker --server URL`` — run one fleet runner: lease job groups from a
   ``repro serve --fleet`` coordinator, execute them with the in-process
-  engine, and ship verdict-memo deltas back.  Runs until interrupted
+  engine, and post each verdict back as JSON.  Runs until interrupted
   (SIGINT/SIGTERM drain the in-flight lease first).
 * ``loadtest --suite NAME`` — replay a scenario corpus against a server
   from N concurrent clients for several rounds and write a
@@ -46,8 +46,7 @@ Subcommands:
   is a *delta* against an earlier line's job (``repro corpus --suite
   churn`` emits such streams) — the batch front-end settles the base
   first, then submits the patch so the base plan warm-starts the search.
-  ``--shards N`` races N disjoint slices of each
-  job's search space across the worker pool.  An empty (or comment-only)
+  An empty (or comment-only)
   file is a valid empty batch: the result stream is empty and the exit
   status is 0.  With ``--server URL`` the batch routes through
   :class:`~repro.service.client.ReproClient` to a running ``repro serve``
@@ -571,15 +570,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.service import SynthesisOptions, SynthesisService
 
     jobs = _load_batch_jobs(args.problems)
-    if args.shards < 1:
-        raise ParseError(f"--shards must be >= 1, got {args.shards}")
     options = SynthesisOptions(
         checker=args.checker,
         granularity=args.granularity,
         timeout=args.timeout,
         portfolio=args.portfolio or (),
         memoize=not args.no_memo,
-        shards=args.shards,
         preflight=args.preflight,
     )
     if args.server:
@@ -645,12 +641,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             default_options=options,
         )
-        if args.shards > 1 and engine.workers <= 1:
-            print(
-                f"warning: --shards {args.shards} needs a worker pool "
-                f"(resolved workers: {engine.workers}); running unsharded",
-                file=sys.stderr,
-            )
         submitted = {}
         for job in jobs:
             opts = (
@@ -767,28 +757,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import ReproServer, SynthesisOptions
 
-    if args.shards < 1:
-        raise ParseError(f"--shards must be >= 1, got {args.shards}")
     options = SynthesisOptions(
         checker=args.checker,
         granularity=args.granularity,
         timeout=args.timeout,
         portfolio=args.portfolio or (),
         memoize=not args.no_memo,
-        shards=args.shards,
     )
     fleet_options = {}
     if args.lease_ttl is not None:
         fleet_options["lease_ttl"] = args.lease_ttl
     if args.worker_ttl is not None:
         fleet_options["worker_ttl"] = args.worker_ttl
-    if args.steal_after is not None:
-        fleet_options["steal_after"] = args.steal_after
     if args.max_attempts is not None:
         fleet_options["max_attempts"] = args.max_attempts
     if fleet_options and not args.fleet:
         raise ReproError(
-            "--lease-ttl/--worker-ttl/--steal-after/--max-attempts need --fleet"
+            "--lease-ttl/--worker-ttl/--max-attempts need --fleet"
         )
     server = ReproServer(
         host=args.host,
@@ -878,8 +863,12 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             f"in {entry['wall_seconds']:.2f}s "
             f"({entry['throughput_jobs_per_s']:.1f} jobs/s), "
             f"p50 {entry['latency_p50_s'] * 1000:.1f}ms "
-            f"p99 {entry['latency_p99_s'] * 1000:.1f}ms, "
-            f"memo hit rate {entry['memo']['hit_rate']:.2f}",
+            f"p99 {entry['latency_p99_s'] * 1000:.1f}ms"
+            + (
+                f", memo hit rate {entry['memo']['hit_rate']:.2f}"
+                if entry["memo"] is not None
+                else ""
+            ),
             file=sys.stderr,
         )
     if args.out:
@@ -1053,23 +1042,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_OK if comparison.ok else EXIT_FAILURE
     if not args.suite:
         raise ReproError("bench needs --suite NAME (or --compare BASELINE CURRENT)")
-    if args.shards < 1:
-        raise ParseError(f"--shards must be >= 1, got {args.shards}")
     if args.suite == "churn":
         # the churn suite is a two-pass delta benchmark with its own
         # (always serial) runner and a self-gated speedup target
         from repro.bench.churn import format_churn_summary, run_churn_suite
 
-        for flag, name in (
-            (bool(args.workers), "--workers"),
-            (args.shards > 1, "--shards"),
-        ):
-            if flag:
-                print(
-                    f"warning: {name} is ignored for the churn suite "
-                    "(both passes run serially for fair timing)",
-                    file=sys.stderr,
-                )
+        if args.workers:
+            print(
+                "warning: --workers is ignored for the churn suite "
+                "(both passes run serially for fair timing)",
+                file=sys.stderr,
+            )
         document = run_churn_suite(
             quick=args.quick,
             base_seed=args.seed,
@@ -1095,7 +1078,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         checker=args.checker,
         memoize=not args.no_memo,
-        shards=args.shards,
     )
     out_path = args.out or f"BENCH_{args.suite}.json"
     write_bench(document, out_path)
@@ -1272,8 +1254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--portfolio", default=None, metavar="B1,B2",
                          type=_portfolio_arg,
                          help="default backend portfolio raced per job")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="default search-shard count per job")
     p_serve.add_argument("--no-memo", action="store_true",
                          help="disable the cross-candidate verdict memo")
     p_serve.add_argument("--cache-dir", default=None,
@@ -1290,10 +1270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--worker-ttl", type=float, default=None, metavar="S",
                          help="fleet: seconds of silence before a runner is "
                               "dropped from the connected set (default 60)")
-    p_serve.add_argument("--steal-after", type=float, default=None, metavar="S",
-                         help="fleet: seconds a scope-routed group waits for "
-                              "its preferred runner before any runner may "
-                              "take it (default 5)")
     p_serve.add_argument("--max-attempts", type=int, default=None, metavar="N",
                          help="fleet: lease attempts per group before it "
                               "settles as an error (default 3)")
@@ -1305,8 +1281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--server", required=True, metavar="URL",
                           help="base URL of the fleet coordinator")
     p_worker.add_argument("--id", default=None,
-                          help="stable worker id (rendezvous routing key; "
-                               "default: worker-<pid>-<nonce>)")
+                          help="stable worker id its leases are held in "
+                               "(default: worker-<pid>-<nonce>)")
     p_worker.add_argument("--workers", type=int, default=None,
                           help="embedded engine pool size (default 1)")
     p_worker.add_argument("--serial", action="store_true",
@@ -1404,10 +1380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--portfolio", default=None, metavar="B1,B2",
                          type=_portfolio_arg,
                          help="race these comma-separated checker backends per job")
-    p_batch.add_argument("--shards", type=int, default=1,
-                         help="split each job's order search space into N "
-                              "disjoint slices raced on the worker pool "
-                              "(default 1: unsharded; needs --workers >= 2)")
     p_batch.add_argument("--cache-dir", default=None,
                          help="persist the plan cache to this directory")
     p_batch.add_argument("--no-memo", action="store_true",
@@ -1536,9 +1508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--no-memo", action="store_true",
                          help="disable the cross-candidate verdict memo "
                               "(for memo A/B comparisons)")
-    p_bench.add_argument("--shards", type=int, default=1,
-                         help="race each scenario's search across N shards "
-                              "(default 1; needs --workers >= 2)")
     p_bench.add_argument("--json", action="store_true",
                          help="emit the document/comparison as JSON to stdout")
     p_bench.add_argument("--history", default=None, metavar="PATH",

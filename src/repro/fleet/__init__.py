@@ -3,16 +3,14 @@
 A coordinator-mode server (``repro serve --fleet``) leases cache-miss job
 groups to ``repro worker`` runner processes over three HTTP endpoints
 (``/v1/fleet/lease`` / ``complete`` / ``heartbeat``); runners execute them
-with the ordinary in-process engine and ship verdict-memo deltas back
-through the same conflict-checked merge the process pool uses — clause
-sharing across hosts instead of across processes.  ``repro loadtest``
-(:mod:`repro.fleet.loadtest`) is the matching load generator.
+with the ordinary in-process engine and post the verdict back.  Only JSON
+documents cross the wire.  ``repro loadtest`` (:mod:`repro.fleet.loadtest`)
+is the matching load generator.
 
-See ``docs/ARCHITECTURE.md`` (fleet section) for the lease lifecycle and
-the rendezvous routing that keeps hot memo scopes resident on one runner.
+See ``docs/ARCHITECTURE.md`` (fleet section) for the lease lifecycle.
 """
 
-from repro.fleet.coordinator import FleetCoordinator, rendezvous_owner
+from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.loadtest import LOADTEST_SCHEMA, run_loadtest
 from repro.fleet.worker import FleetWorker
 
@@ -20,6 +18,5 @@ __all__ = [
     "FleetCoordinator",
     "FleetWorker",
     "LOADTEST_SCHEMA",
-    "rendezvous_owner",
     "run_loadtest",
 ]

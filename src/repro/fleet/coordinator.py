@@ -7,55 +7,40 @@ instead of running them on the local executors.  The coordinator queues
 them as *leases* that ``repro worker`` runners pull over HTTP:
 
 1. **lease** — a runner asks for work; the coordinator grants it the
-   oldest eligible group together with the problem document, the fully
-   resolved options, and a snapshot of the group's verdict-memo scope.
-   Eligibility is *scope-routed*: each memo scope has a preferred runner
-   under rendezvous (highest-random-weight) hashing over the connected
-   worker set, so jobs on one topology/spec keep landing on the runner
-   whose resident memo is already hot.  Scope-less groups (memo off) go
-   to anyone, and a group nobody preferred picks up within
-   ``steal_after`` seconds becomes fair game (work conservation beats
-   affinity).
+   oldest queued group together with the problem document and the fully
+   resolved options.
 2. **heartbeat** — leases carry deadlines; a runner extends them by
    heartbeating.  An expired lease — runner crash, heartbeat loss, or a
    malformed completion that never arrived — is re-enqueued at the front
    of the queue (``attempt + 1``); after ``max_attempts`` the group
    settles as an ``error`` so a dying fleet never strands a job (the
    same invariant the broken-pool degrade established in-process).
-3. **complete** — the runner returns the engine's runner-contract payload
-   plus its drained memo deltas, which merge conflict-checked into the
-   service-wide pool exactly like a pool worker's.  First completion
-   wins; a *late* completion for a superseded lease still settles the
-   group if no sibling beat it (its work is real), and its memo deltas
-   are merged regardless.
+3. **complete** — the runner returns the engine's runner-contract payload.
+   First completion wins; a *late* completion for a superseded lease
+   still settles the group if no sibling beat it (its work is real).
 
-Everything — lease state, worker liveness, and all fleet-mode access to
-the shared verdict memo — is serialized under one condition variable:
-HTTP handler threads and the scheduler thread meet only here.
+Only JSON documents cross the wire: a runner keeps its verdict memo to
+itself, so nothing a runner (or any other HTTP client) sends is ever
+unpickled here.  Lease state and worker liveness are serialized under one
+condition variable: HTTP handler threads and the scheduler thread meet
+only here.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 import time
-import warnings
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.schema import (
     HeartbeatRequest,
     LeaseCompletion,
     LeaseGrant,
     LeaseRequest,
-    memo_snapshot_from_wire,
-    memo_snapshot_to_wire,
 )
-from repro.errors import MemoMergeError
-from repro.perf.fingerprint import scope_fingerprint
-from repro.perf.memo import SharedVerdictMemo
 from repro.service.jobs import JobStatus, SynthesisJob
 
 #: The scheduler's group key: (problem fingerprint, timeout budget).
@@ -67,10 +52,6 @@ DEFAULT_LEASE_TTL = 30.0
 #: Seconds without any request from a worker before it is dropped from the
 #: connected set (its leases expire immediately — heartbeat loss).
 DEFAULT_WORKER_TTL = 60.0
-
-#: Seconds a scope-routed group waits for its preferred runner before any
-#: runner may steal it.
-DEFAULT_STEAL_AFTER = 5.0
 
 #: Lease attempts per group before it settles as an error.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -85,40 +66,13 @@ MAX_RETIRED_LEASES = 4096
 _TICK_SECONDS = 0.25
 
 
-def rendezvous_owner(scope: str, workers: Iterable[str]) -> Optional[str]:
-    """The preferred worker for a memo scope under rendezvous (HRW) hashing.
-
-    Each (scope, worker) pair scores ``blake2b(scope | worker)``; the
-    highest score wins.  Every participant computes the same answer from
-    the same worker set with no coordination, and when a worker joins or
-    leaves only the scopes it won (or now wins) move — all other
-    assignments are undisturbed, which is exactly the property that keeps
-    hot memos resident.  ``blake2b`` rather than ``hash()``: Python's
-    string hash is salted per process, and routing must agree across the
-    coordinator's restarts.
-    """
-    best: Optional[str] = None
-    best_score: Optional[bytes] = None
-    for worker in workers:
-        score = hashlib.blake2b(
-            f"{scope}|{worker}".encode("utf-8"), digest_size=16
-        ).digest()
-        if best_score is None or score > best_score or (
-            score == best_score and (best is None or worker < best)
-        ):
-            best, best_score = worker, score
-    return best
-
-
 @dataclass
 class _PendingGroup:
     """One job group awaiting (re-)lease."""
 
     key: _GroupKey
     group: List[SynthesisJob]
-    scope: Optional[str]
     attempt: int = 1
-    queued_at: float = field(default_factory=time.monotonic)
 
 
 @dataclass
@@ -135,12 +89,7 @@ class FleetCoordinator:
     """Routes the scheduler's cache-miss groups to remote runners.
 
     Args:
-        verdict_memo: the owning service's
-            :class:`~repro.perf.memo.SharedVerdictMemo`; lease snapshots
-            are exported from it and completion deltas merge into it,
-            always under this coordinator's lock.
-        lease_ttl / worker_ttl / steal_after / max_attempts: see the
-            module constants.
+        lease_ttl / worker_ttl / max_attempts: see the module constants.
 
     The instance is both the service's *group runner* (``__call__``
     follows the executor contract: groups in, ``(key, payload)`` out) and
@@ -150,11 +99,9 @@ class FleetCoordinator:
 
     def __init__(
         self,
-        verdict_memo: SharedVerdictMemo,
         *,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         worker_ttl: float = DEFAULT_WORKER_TTL,
-        steal_after: float = DEFAULT_STEAL_AFTER,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ):
         if lease_ttl <= 0:
@@ -163,10 +110,8 @@ class FleetCoordinator:
             raise ValueError(f"worker_ttl must be positive, got {worker_ttl}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.verdict_memo = verdict_memo
         self.lease_ttl = lease_ttl
         self.worker_ttl = worker_ttl
-        self.steal_after = max(0.0, steal_after)
         self.max_attempts = max_attempts
         self._cv = threading.Condition()
         self._pending: Deque[_PendingGroup] = deque()
@@ -180,7 +125,6 @@ class FleetCoordinator:
         self._worker_stats: Dict[str, Dict[str, float]] = {}
         self._ids = itertools.count(1)
         self._closing = False
-        self._memo_conflict_warned = False
         # counters surfaced via gauges_dict
         self.leases_granted_total = 0
         self.leases_expired_total = 0
@@ -202,9 +146,7 @@ class FleetCoordinator:
         """
         with self._cv:
             for key, group in groups.items():
-                self._pending.append(
-                    _PendingGroup(key=key, group=group, scope=_scope_of(group[0]))
-                )
+                self._pending.append(_PendingGroup(key=key, group=group))
             self._cv.notify_all()
         remaining = set(groups)
         while remaining:
@@ -263,10 +205,10 @@ class FleetCoordinator:
     # the runner side (HTTP handler threads)
     # ------------------------------------------------------------------
     def lease(self, request: LeaseRequest) -> List[LeaseGrant]:
-        """Grant up to ``max_groups`` eligible groups to the runner.
+        """Grant up to ``max_groups`` queued groups to the runner.
 
         Long-polls up to ``request.wait`` seconds (capped at
-        :data:`MAX_LEASE_WAIT`) when nothing is eligible.  An empty list
+        :data:`MAX_LEASE_WAIT`) when nothing is queued.  An empty list
         is a valid answer — the runner just polls again.
         """
         deadline = time.monotonic() + min(max(0.0, request.wait), MAX_LEASE_WAIT)
@@ -287,25 +229,12 @@ class FleetCoordinator:
     def complete(self, completion: LeaseCompletion) -> Dict[str, Any]:
         """Accept a runner's executed group; first completion wins.
 
-        The completion's memo deltas merge (conflict-checked) whether or
-        not the payload is accepted — a race loser's learning is still
-        real, exactly like the pool path's zombie harvest.  Returns
-        ``{"accepted": bool, "known": bool}``: a late completion for a
-        lease the coordinator retired is *known* but only accepted when
-        no sibling settled the group first.
+        Returns ``{"accepted": bool, "known": bool}``: a late completion
+        for a lease the coordinator retired is *known* but only accepted
+        when no sibling settled the group first.
         """
-        snapshot = (
-            memo_snapshot_from_wire(completion.memo)
-            if completion.memo is not None
-            else None
-        )
         with self._cv:
             self._touch_worker_locked(completion.worker_id)
-            if snapshot is not None:
-                try:
-                    self.verdict_memo.merge(snapshot)
-                except MemoMergeError as err:
-                    self._warn_memo_conflict(err)
             lease = self._leases.get(completion.lease_id)
             known = lease is not None or completion.lease_id in self._retired
             accepted = False
@@ -397,28 +326,9 @@ class FleetCoordinator:
 
     def _grant_locked(self, worker_id: str, max_groups: int) -> List[LeaseGrant]:
         grants: List[LeaseGrant] = []
-        kept: List[_PendingGroup] = []
         while self._pending and len(grants) < max_groups:
-            pending = self._pending.popleft()
-            if self._eligible_locked(pending, worker_id):
-                grants.append(self._lease_out_locked(pending, worker_id))
-            else:
-                kept.append(pending)
-        # scanned-but-routed-elsewhere groups return to the front, in order
-        while kept:
-            self._pending.appendleft(kept.pop())
+            grants.append(self._lease_out_locked(self._pending.popleft(), worker_id))
         return grants
-
-    def _eligible_locked(self, pending: _PendingGroup, worker_id: str) -> bool:
-        if pending.scope is None:
-            return True  # memo off: nothing to keep resident anywhere
-        owner = rendezvous_owner(pending.scope, self._workers)
-        if owner is None or owner == worker_id:
-            return True
-        # work conservation: an unclaimed group eventually goes to whoever
-        # asks (the original queued_at survives re-enqueue, so a group
-        # whose owner just died is immediately stealable)
-        return time.monotonic() - pending.queued_at >= self.steal_after
 
     def _lease_out_locked(
         self, pending: _PendingGroup, worker_id: str
@@ -431,11 +341,6 @@ class FleetCoordinator:
             deadline=time.monotonic() + self.lease_ttl,
         )
         self.leases_granted_total += 1
-        memo_wire = None
-        if pending.scope is not None:
-            snapshot = self.verdict_memo.snapshot(scopes=(pending.scope,))
-            if len(snapshot):
-                memo_wire = memo_snapshot_to_wire(snapshot)
         job = pending.group[0]
         # delta submissions ride their base-plan hint out to the runner so
         # remote executions warm-start exactly like local ones would
@@ -448,8 +353,6 @@ class FleetCoordinator:
             fingerprint=job.fingerprint,
             problem=job.problem,
             options=job.options,
-            scope=pending.scope,
-            memo=memo_wire,
             deadline_seconds=self.lease_ttl,
             attempt=pending.attempt,
             warm_order=warm_order,
@@ -522,22 +425,3 @@ class FleetCoordinator:
         else:
             # front of the queue: a re-enqueued group has already waited
             self._pending.appendleft(pending)
-
-    def _warn_memo_conflict(self, err: MemoMergeError) -> None:
-        if self._memo_conflict_warned:
-            return
-        self._memo_conflict_warned = True
-        warnings.warn(
-            f"dropping a fleet runner's verdict-memo delta: {err}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def _scope_of(job: SynthesisJob) -> Optional[str]:
-    """The job's verdict-memo scope, or ``None`` when memo is disabled."""
-    if not job.options.memoize:
-        return None
-    return scope_fingerprint(
-        job.problem.topology, job.problem.spec, job.problem.ingresses
-    )

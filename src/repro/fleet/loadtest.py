@@ -4,21 +4,23 @@ Replays the scenario corpus against a running server (or a self-hosted
 one) from ``clients`` concurrent thin clients, for ``rounds`` passes over
 the same problems, and reports a ``repro-loadtest/1`` JSON document: per
 round, client-observed p50/p99 latency, throughput, and the *server-side*
-verdict-memo and plan-cache hit rates (measured as counter deltas on
-``/v1/metrics``, so they include work done by fleet runners); plus
-per-worker utilization from the fleet gauges when a fleet is attached.
+plan-cache and verdict-memo hit rates (measured as counter deltas on
+``/v1/metrics``); plus per-worker utilization from the fleet gauges when a
+fleet is attached.  A fleet coordinator runs no search itself and its
+runners keep their memos to themselves, so against a fleet the per-round
+``memo`` block is ``None`` rather than a misleading zero.
 
 This is the throughput counterpart of the bench runner's
 ``BENCH_<suite>.json``: the bench measures one synthesis at a time, the
-loadtest measures the serving stack — coalescing, cache temperature, and
-memo gossip under concurrent load.
+loadtest measures the serving stack — coalescing and cache temperature
+under concurrent load.
 
 By default the *plan cache is bypassed* (``use_plan_cache=False`` rides
 in every request): a load generator that lets round two answer entirely
 from the plan cache would measure dictionary lookups, not synthesis.
-With the cache bypassed, repeated rounds still re-run the search — but
-against a warm verdict memo, which is exactly the gossip effect the
-report's per-round memo hit rates make visible.
+With the cache bypassed, repeated rounds re-run the search — on a local
+server against a warm verdict memo, which the per-round memo hit rates
+make visible.
 
 Without ``--server`` the harness self-hosts: it starts an in-process
 :class:`~repro.service.server.ReproServer` (fleet mode when
@@ -73,7 +75,9 @@ def _counters(metrics: Dict[str, Any]) -> Dict[str, int]:
     }
 
 
-def _round_rates(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, Any]:
+def _round_rates(
+    before: Dict[str, int], after: Dict[str, int], *, memo: bool
+) -> Dict[str, Any]:
     probes = after["memo_probes"] - before["memo_probes"]
     hits = after["memo_hits"] - before["memo_hits"]
     skipped = after["memo_checks_skipped"] - before["memo_checks_skipped"]
@@ -85,7 +89,9 @@ def _round_rates(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, Any
             "hits": hits,
             "checks_skipped": skipped,
             "hit_rate": round(hits / probes, 4) if probes else 0.0,
-        },
+        }
+        if memo
+        else None,
         "plan_cache": {
             "lookups": lookups,
             "hits": cache_hits,
@@ -217,7 +223,11 @@ def run_loadtest(
     failures: List[str] = []
     try:
         for round_index in range(1, rounds + 1):
-            before = _counters(probe.metrics_dict())
+            metrics = probe.metrics_dict()
+            # a fleet coordinator's memo never sees a probe: its runners
+            # search, and their memos stay on their hosts
+            local_search = (metrics.get("gauges") or {}).get("fleet") is None
+            before = _counters(metrics)
             feed = _Feed(records)
             threads = [
                 _ClientThread(server_url, feed, options_data, job_timeout)
@@ -256,7 +266,7 @@ def run_loadtest(
                 "latency_p99_s": round(_percentile(latencies, 0.99), 6),
                 "latency_max_s": round(latencies[-1], 6) if latencies else 0.0,
             }
-            report.update(_round_rates(before, after))
+            report.update(_round_rates(before, after, memo=local_search))
             round_reports.append(report)
 
         final_metrics = probe.metrics_dict()

@@ -4,22 +4,11 @@
 :class:`~repro.api.schema.LeaseGrant` documents from a coordinator,
 executes each group with an ordinary in-process
 :class:`~repro.service.engine.SynthesisService` — so portfolio racing,
-``shards``, the process pool, and the broken-pool degrade all work on a
-runner exactly as they do locally — and posts the runner-contract payload
-back with its drained verdict-memo deltas.
-
-The runner keeps one *resident* delta-tracking
-:class:`~repro.perf.memo.SharedVerdictMemo`, injected into its service:
-
-* a grant's memo snapshot seeds it **without journaling** (the
-  coordinator already has those entries — echoing them back is noise);
-* verdicts the runner learns itself — recorded by the serial path or
-  merged back from its own pool workers — *are* journaled, so every
-  completion relays exactly the new learning upstream.
-
-Because rendezvous routing keeps a memo scope on one runner, the resident
-memo stays hot across leases: the second job on a topology/spec starts
-from everything the first one learned without waiting for a snapshot.
+the process pool, and the broken-pool degrade all work on a runner
+exactly as they do locally — and posts the runner-contract payload back.
+The embedded service's verdict memo stays on the runner: only JSON
+(problem, options, verdict, plan) crosses the wire, and any other field a
+grant carries is ignored.
 
 A daemon heartbeat thread extends the active lease while a group
 executes; if the coordinator reports the lease unknown (expired under us,
@@ -33,18 +22,10 @@ import os
 import threading
 import time
 import uuid
-import warnings
 from typing import Any, Dict, Optional
 
-from repro.api.schema import (
-    LeaseCompletion,
-    LeaseGrant,
-    memo_snapshot_from_wire,
-    memo_snapshot_to_wire,
-)
-from repro.errors import MemoMergeError
+from repro.api.schema import LeaseCompletion, LeaseGrant
 from repro.net.serialize import plan_to_dict
-from repro.perf.memo import SharedVerdictMemo
 from repro.service.client import ReproClient
 from repro.service.engine import SynthesisService
 from repro.service.jobs import JobResult
@@ -57,12 +38,10 @@ class FleetWorker:
         base_url: the coordinator server (``repro serve --fleet``).
         client: a pre-built :class:`~repro.service.client.ReproClient`
             instead of ``base_url`` (tests inject one).
-        worker_id: stable identity for rendezvous routing; a restarted
-            runner that keeps its id inherits its scope affinity.
+        worker_id: stable identity the runner's leases are held in.
             Defaults to a fresh ``worker-<pid>-<nonce>``.
         workers: pool size of the embedded engine (``1`` = serial, the
-            default — runner processes are meant to be cheap; point
-            ``--shards``-heavy deployments at a bigger pool).
+            default — runner processes are meant to be cheap).
         lease_wait: seconds each lease call long-polls for work.
         max_groups: groups requested per lease call.
     """
@@ -85,11 +64,9 @@ class FleetWorker:
         self.worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self.lease_wait = max(0.0, lease_wait)
         self.max_groups = max(1, max_groups)
-        self.memo = SharedVerdictMemo(track_deltas=True)
-        self.service = SynthesisService(workers=workers, verdict_memo=self.memo)
+        self.service = SynthesisService(workers=workers)
         self.leases_completed = 0
         self._stop = threading.Event()
-        self._memo_conflict_warned = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -136,7 +113,6 @@ class FleetWorker:
         return self.leases_completed - completed_at_entry
 
     def _execute_grant(self, grant: LeaseGrant) -> None:
-        self._seed_memo(grant)
         stop_beat = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop,
@@ -150,16 +126,11 @@ class FleetWorker:
         finally:
             stop_beat.set()
             beat.join(timeout=5.0)
-        memo_wire = None
-        delta = self.memo.drain_deltas()
-        if delta.deltas:
-            memo_wire = memo_snapshot_to_wire(delta)
         self.client.fleet_complete(
             LeaseCompletion(
                 lease_id=grant.lease_id,
                 worker_id=self.worker_id,
                 payload=payload,
-                memo=memo_wire,
             )
         )
 
@@ -174,22 +145,6 @@ class FleetWorker:
         )
         result = self.service.result(job.job_id)
         return _payload_from_result(result)
-
-    def _seed_memo(self, grant: LeaseGrant) -> None:
-        if grant.memo is None:
-            return
-        snapshot = memo_snapshot_from_wire(grant.memo)
-        try:
-            # seed context, not learning: keep it out of the delta journal
-            self.memo.merge(snapshot, journal=False)
-        except MemoMergeError as err:
-            if not self._memo_conflict_warned:
-                self._memo_conflict_warned = True
-                warnings.warn(
-                    f"refusing a conflicting coordinator memo seed: {err}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
 
     def _heartbeat_loop(self, grant: LeaseGrant, stop: threading.Event) -> None:
         """Extend the lease while its group executes; swallow transport

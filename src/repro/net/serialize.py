@@ -242,7 +242,6 @@ def plan_to_dict(plan: UpdatePlan) -> Dict[str, Any]:
             "memo_probes": plan.stats.memo_probes,
             "memo_hits": plan.stats.memo_hits,
             "memo_pruned": plan.stats.memo_pruned,
-            "shards": plan.stats.shards,
             "warm_units": plan.stats.warm_units,
             "warm_hits": plan.stats.warm_hits,
             "labeling_seconds": plan.stats.labeling_seconds,
@@ -329,7 +328,6 @@ def plan_from_dict(
     plan.stats.memo_probes = int(stats.get("memo_probes", 0))
     plan.stats.memo_hits = int(stats.get("memo_hits", 0))
     plan.stats.memo_pruned = int(stats.get("memo_pruned", 0))
-    plan.stats.shards = int(stats.get("shards", 0))
     plan.stats.warm_units = int(stats.get("warm_units", 0))
     plan.stats.warm_hits = int(stats.get("warm_hits", 0))
     plan.stats.labeling_seconds = float(stats.get("labeling_seconds", 0.0))

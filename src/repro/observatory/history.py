@@ -32,7 +32,7 @@ from repro.errors import ParseError, ReproError
 HISTORY_SCHEMA = "repro-bench-history/1"
 
 #: BENCH option fields lifted into each line's ``options`` block
-_OPTION_FIELDS = ("checker", "workers", "memoize", "shards")
+_OPTION_FIELDS = ("checker", "workers", "memoize")
 
 
 def history_line(document: Dict[str, Any]) -> Dict[str, Any]:
@@ -116,6 +116,13 @@ def load_history(
                 )
             if suite is not None and line.get("suite") != suite:
                 continue
+            options = line.get("options")
+            if isinstance(options, dict):
+                # lines recorded before an option was removed compare
+                # equal to new lines on the fields still recorded
+                line["options"] = {
+                    k: v for k, v in options.items() if k in _OPTION_FIELDS
+                }
             entries.append(line)
     if suite is not None and not entries:
         raise ReproError(f"{path}: no runs of suite {suite!r} in history")

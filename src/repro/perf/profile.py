@@ -109,10 +109,6 @@ def run_profile(
         if stats is not None:
             row["phases"] = _phases_of(stats, wall)
             row["model_checks"] = stats.model_checks
-            # 0 = unsharded; the profile harness itself always runs serial
-            # in-process, so nonzero values only appear when profiling
-            # stats round-tripped from a sharded service run
-            row["shards"] = stats.shards
             for phase in PHASES:
                 totals[phase] += row["phases"][phase]
             memo_counters["memo_probes"] += stats.memo_probes

@@ -34,22 +34,19 @@ jobs and surface each result as it settles.  :meth:`result` waits on one
 job, :meth:`poll` snapshots every job's status, :meth:`cancel` withdraws a
 still-queued job, and :meth:`drain` blocks until the service is idle.
 
-Problems and plans cross the process boundary as JSON-safe dicts
+Each job runs as one search per checker backend.  Problems and plans
+cross the process boundary as JSON-safe dicts
 (:func:`~repro.net.serialize.problem_to_dict`,
-:func:`~repro.net.serialize.plan_to_dict`); verdict-memo snapshots and
-deltas (:class:`~repro.perf.memo.MemoSnapshot`) ride the same pickle
-channel as plain value objects.  Per-job timeouts are enforced
+:func:`~repro.net.serialize.plan_to_dict`); per-job timeouts are enforced
 cooperatively by the synthesizer's own deadline checks.
 
-Pool executions share the verdict memo through a snapshot/merge protocol:
-every dispatched payload carries a snapshot of its job's memo scope taken
-*at dispatch time*, the worker seeds a delta-tracking pool from it, and
-the learned delta returns with the result for the engine to merge — so
-later-scheduled jobs (and later-dispatched shards of one job) start from
-everything the service has already learned, across *independent*
-submissions, not just within one batch.  In the CDCL framing this is
-clause sharing between parallel solvers, with the memo and plan cache
-kept hot across requests instead of rebuilt per batch.
+Pool executions on this host share the verdict memo through a
+snapshot/merge protocol: every dispatched payload carries a snapshot of
+its job's memo scope taken *at dispatch time* (pickled by the process
+pool, never sent over the network), the worker seeds a delta-tracking
+pool from it, and the learned delta returns with the result for the
+engine to merge — so later-scheduled jobs start from everything the
+service has already learned, across independent submissions.
 
 Streaming callers can submit **deltas** instead of full problems:
 :meth:`SynthesisService.submit_delta` resolves a
@@ -57,13 +54,6 @@ Streaming callers can submit **deltas** instead of full problems:
 (every submission is kept, LRU-bounded by :data:`BASE_RETENTION`) and
 warm-starts the search from the base plan's unit order — the churn path
 of the ``repro-api/1`` delta extension (see ``docs/API.md``).
-
-Hard jobs can additionally be *sharded*: ``SynthesisOptions.shards = N``
-splits the order search space into N disjoint slices
-(:class:`~repro.synthesis.search.SearchShard`) raced on the same pool —
-the first plan wins, and infeasibility needs every shard to exhaust its
-slice (endpoint violations and SAT proofs stay global and settle the race
-immediately).
 """
 
 from __future__ import annotations
@@ -109,7 +99,7 @@ from repro.perf.memo import MemoSnapshot, SharedVerdictMemo
 from repro.service.cache import PlanCache
 from repro.service.jobs import JobResult, JobStatus, SynthesisJob, SynthesisOptions
 from repro.service.metrics import ServiceMetrics
-from repro.synthesis import SearchShard, UpdateSynthesizer
+from repro.synthesis import UpdateSynthesizer
 
 #: Statuses that settle a fingerprint group in portfolio mode: a plan, or a
 #: proof that no plan exists.  ``timeout``/``error`` keep the race open.
@@ -150,12 +140,7 @@ def _execute_payload(
     delta-tracking pool whose learned entries are returned under
     ``"memo_delta"`` for the engine to merge back.
 
-    ``options_data`` may carry ``shards``/``shard_index``: shard counts
-    above one restrict this attempt to its
-    :class:`~repro.synthesis.search.SearchShard` slice of the order space,
-    and an exhausted slice reports ``infeasible_reason="shard"`` (not a
-    global proof — the engine combines the shards' verdicts).  It may also
-    carry ``warm_order`` (a wire-form unit order, see
+    ``options_data`` may carry ``warm_order`` (a wire-form unit order, see
     :func:`~repro.net.serialize.unit_order_to_wire`): the delta path's
     base-plan hint, seeding the search which degrades to cold when stale.
     """
@@ -191,12 +176,6 @@ def _execute_payload(
             memoize=options_data.get("memoize", True),
             memo_pool=pool,
         )
-        shards = int(options_data.get("shards", 1) or 1)
-        shard = (
-            SearchShard(int(options_data.get("shard_index", 0)), shards)
-            if shards > 1
-            else None
-        )
         warm_order = options_data.get("warm_order")
         if warm_order is not None:
             warm_order = unit_order_from_wire(warm_order)
@@ -206,7 +185,6 @@ def _execute_payload(
             problem.spec,
             problem.ingresses,
             timeout=options_data.get("timeout"),
-            shard=shard,
             warm_order=warm_order,
         )
     except UpdateInfeasibleError as err:
@@ -214,7 +192,6 @@ def _execute_payload(
             {
                 "status": JobStatus.INFEASIBLE.value,
                 "message": f"({err.reason}) {err}",
-                "infeasible_reason": err.reason,
             }
         )
     except SynthesisTimeout as err:
@@ -248,29 +225,6 @@ def _best_failure(results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     return results[-1]
 
 
-def _conclude_shards(results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """One backend's verdict once every shard of its task has reported.
-
-    The shards partition the order space, so all-shards-infeasible upgrades
-    to a *global* infeasibility proof.  Any timeout or error among them
-    means part of the space went unexplored — the most informative failure
-    wins instead (a shard's "my slice is exhausted" alone proves nothing).
-    For unsharded tasks (one result) this degrades to the old behavior.
-    """
-    if all(res["status"] == JobStatus.INFEASIBLE.value for res in results):
-        combined = dict(results[0])
-        if len(results) > 1:
-            combined["message"] = (
-                f"({len(results)} shards) every shard exhausted its slice: "
-                "no simple careful update sequence exists"
-            )
-            combined["infeasible_reason"] = "search"
-            # shards ran concurrently; the slowest bounds the wall time
-            combined["seconds"] = max(res.get("seconds", 0.0) for res in results)
-        return combined
-    return _best_failure(results)
-
-
 def default_worker_count() -> int:
     """Pool size when none is given: usable cores, capped at 8.
 
@@ -294,10 +248,6 @@ class SynthesisService:
             create one (``cache_dir``/``cache_capacity`` configure it).
         default_options: :class:`SynthesisOptions` applied to ``submit``
             calls that don't bring their own.
-        verdict_memo: a :class:`~repro.perf.memo.SharedVerdictMemo` to use
-            instead of creating one — how a fleet runner injects its
-            *resident* delta-tracking memo so entries learned across
-            leases accumulate and gossip upstream.
 
     All public methods are thread-safe; the HTTP front-end
     (:mod:`repro.service.server`) calls them from handler threads while the
@@ -314,7 +264,6 @@ class SynthesisService:
         cache_capacity: int = 1024,
         default_options: Optional[SynthesisOptions] = None,
         metrics: Optional[ServiceMetrics] = None,
-        verdict_memo: Optional[SharedVerdictMemo] = None,
     ):
         self.workers = default_worker_count() if workers is None else max(0, workers)
         self.cache = cache or PlanCache(cache_capacity, cache_dir)
@@ -324,9 +273,7 @@ class SynthesisService:
         # share refuted traces and verdicts.  The serial path probes it
         # live; pool dispatches snapshot it per payload and merge the
         # workers' learned deltas back (see the module docstring).
-        self.verdict_memo = (
-            verdict_memo if verdict_memo is not None else SharedVerdictMemo()
-        )
+        self.verdict_memo = SharedVerdictMemo()
         # fleet mode: a FleetCoordinator installed via set_group_runner
         # replaces the local executors — cache-miss groups are leased to
         # remote runners instead of the process pool.  Duck-typed (any
@@ -956,11 +903,7 @@ class SynthesisService:
         return groups
 
     def _execute_groups(self, groups: Dict[_GroupKey, List[SynthesisJob]]) -> None:
-        """Run one micro-batch of cache-miss groups and publish verdicts.
-
-        Task count includes shards: a single job with shards=4 is worth
-        spinning the pool up for (that is the point of shards).
-        """
+        """Run one micro-batch of cache-miss groups and publish verdicts."""
         with self.metrics.time_batch():
             if self._group_runner is not None:
                 # fleet (or test-injected) runner: it sees only job groups,
@@ -971,8 +914,7 @@ class SynthesisService:
                 runner = self._group_runner
             else:
                 tasks = sum(
-                    len(group[0].options.backends()) * max(1, group[0].options.shards)
-                    for group in groups.values()
+                    len(group[0].options.backends()) for group in groups.values()
                 )
                 runner = (
                     self._execute_serial
@@ -1019,36 +961,20 @@ class SynthesisService:
     # executors
     # ------------------------------------------------------------------
     @staticmethod
-    def _group_payloads(
-        job: SynthesisJob, *, sharded: bool = True
-    ) -> List[Tuple[str, Dict[str, Any], Dict[str, Any]]]:
-        """(backend, problem_dict, options_dict) per portfolio entry × shard.
-
-        ``sharded=False`` collapses the shard dimension — the serial path
-        runs every job unsharded (racing slices sequentially could only
-        lose time against one unrestricted search).
-        """
+    def _group_payloads(job: SynthesisJob) -> List[Tuple[str, Dict[str, Any], Dict[str, Any]]]:
+        """(backend, problem_dict, options_dict) per portfolio entry."""
         problem_data = problem_to_dict(job.problem)
-        shards = max(1, job.options.shards) if sharded else 1
-        warm_wire = (
-            unit_order_to_wire(job.warm_order)
-            if job.warm_order is not None
-            else None
+        options_data = dict(
+            job.options.identity_dict(),
+            timeout=job.options.timeout,
+            memoize=job.options.memoize,
         )
-        payloads = []
-        for backend in job.options.backends():
-            for index in range(shards):
-                options_data = dict(
-                    job.options.identity_dict(),
-                    timeout=job.options.timeout,
-                    memoize=job.options.memoize,
-                    shards=shards,
-                    shard_index=index,
-                )
-                if warm_wire is not None:
-                    options_data["warm_order"] = warm_wire
-                payloads.append((backend, problem_data, options_data))
-        return payloads
+        if job.warm_order is not None:
+            options_data["warm_order"] = unit_order_to_wire(job.warm_order)
+        return [
+            (backend, problem_data, options_data)
+            for backend in job.options.backends()
+        ]
 
     @staticmethod
     def _group_scope(job: SynthesisJob) -> Optional[str]:
@@ -1077,9 +1003,7 @@ class SynthesisService:
             for job in group:  # every coalesced sibling is executing
                 job.status = JobStatus.RUNNING
             attempts: List[Dict[str, Any]] = []
-            for backend, problem_data, options_data in self._group_payloads(
-                group[0], sharded=False
-            ):
+            for backend, problem_data, options_data in self._group_payloads(group[0]):
                 res = _execute_payload(
                     problem_data, options_data, backend, memo_pool=self.verdict_memo
                 )
@@ -1095,7 +1019,7 @@ class SynthesisService:
     def _execute_pool(
         self, groups: "Dict[_GroupKey, List[SynthesisJob]]"
     ) -> Iterator[Tuple["_GroupKey", Dict[str, Any]]]:
-        """Worker-pool execution; backends (and shards) race concurrently.
+        """Worker-pool execution; portfolio backends race concurrently.
 
         Payloads dispatch lazily — at most ``workers`` in flight — and each
         dispatch snapshots its job's verdict-memo scope *at that moment*,
@@ -1114,9 +1038,7 @@ class SynthesisService:
 
         queue: "Deque[Tuple[_GroupKey, str, Dict[str, Any], Dict[str, Any]]]" = deque()
         pending: "Dict[Future, Tuple[_GroupKey, str]]" = {}
-        # per (group, backend) shard accounting, per group backend verdicts
-        shard_results: "Dict[Tuple[_GroupKey, str], List[Dict[str, Any]]]" = {}
-        expected: "Dict[Tuple[_GroupKey, str], int]" = {}
+        # per group: non-definitive backend verdicts so far
         attempts: "Dict[_GroupKey, List[Dict[str, Any]]]" = {}
         outstanding: "Dict[_GroupKey, int]" = {}
         decided: "Dict[_GroupKey, bool]" = {}
@@ -1132,7 +1054,6 @@ class SynthesisService:
             payloads = self._group_payloads(group[0])
             outstanding[key] = len(payloads)
             for backend, problem_data, options_data in payloads:
-                expected[key, backend] = expected.get((key, backend), 0) + 1
                 queue.append((key, backend, problem_data, options_data))
 
         #: per-scope snapshot cache: exporting and pickling a scope is O(its
@@ -1184,27 +1105,17 @@ class SynthesisService:
                     merge_delta(res)
 
         def process(
-            key: _GroupKey, backend: str, res: Dict[str, Any]
+            key: _GroupKey, res: Dict[str, Any]
         ) -> Optional[Tuple[_GroupKey, Dict[str, Any]]]:
             """Feed one payload result; returns the group verdict if settled."""
             merge_delta(res)
             if decided[key]:
                 return None  # a sibling already won the race
             outstanding[key] -= 1
-            results = shard_results.setdefault((key, backend), [])
-            results.append(res)
-            # a plan, or a global infeasibility proof, wins immediately; a
-            # shard-local "my slice is exhausted" must wait for its siblings
-            if (
-                res["status"] in _DEFINITIVE
-                and res.get("infeasible_reason") != "shard"
-            ):
+            # a plan, or a proof that none exists, wins immediately
+            if res["status"] in _DEFINITIVE:
                 return settle(key, res)
-            if len(results) == expected[key, backend]:
-                verdict = _conclude_shards(results)
-                if verdict["status"] in _DEFINITIVE:
-                    return settle(key, verdict)
-                attempts[key].append(verdict)
+            attempts[key].append(res)
             if outstanding[key] == 0:
                 return settle(key, _best_failure(attempts[key]))
             return None
@@ -1213,9 +1124,7 @@ class SynthesisService:
             """Submit queued payloads up to the worker count.
 
             Returns already-settled group verdicts when the pool broke: the
-            remaining groups each collapse onto *one* unsharded in-process
-            execution (racing slices sequentially could only lose time
-            against a single unrestricted search), so every job settles
+            remaining groups run in-process instead, so every job settles
             even with a dead pool.
             """
             nonlocal pool_broken
@@ -1275,7 +1184,7 @@ class SynthesisService:
                             "seconds": 0.0,
                             "backend": backend,
                         }
-                    ready.append(process(key, backend, res))
+                    ready.append(process(key, res))
                 harvest_zombies()  # fresher deltas for the next dispatch
                 ready.extend(dispatch())
                 yield from (verdict for verdict in ready if verdict is not None)

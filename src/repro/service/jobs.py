@@ -53,12 +53,6 @@ class SynthesisOptions:
     toggles the cross-candidate verdict memo (:mod:`repro.perf`); it is
     also excluded from the identity because memoization is
     verdict-preserving — the same plan is synthesized either way.
-    ``shards`` > 1 splits the order search space into that many disjoint
-    slices (:class:`~repro.synthesis.search.SearchShard`) raced on the
-    worker pool; it is likewise excluded from the identity — every shard's
-    plan is a correct plan for the same problem, so cached plans remain
-    interchangeable (which plan wins a race is not deterministic).
-    Sharding needs the pool: serial execution runs unsharded.
     ``use_plan_cache`` gates the *plan cache* lookup (not the verdict
     memo): load generators turn it off to force real synthesis on repeat
     traffic.  Excluded from the identity for the same reason as
@@ -81,7 +75,6 @@ class SynthesisOptions:
     timeout: Optional[float] = None
     portfolio: Tuple[str, ...] = ()
     memoize: bool = True
-    shards: int = 1
     use_plan_cache: bool = True
     preflight: bool = False
 

@@ -473,9 +473,7 @@ class ReproServer:
             # module (the loadtest self-hosts a server)
             from repro.fleet.coordinator import FleetCoordinator
 
-            self.fleet = FleetCoordinator(
-                self.service.verdict_memo, **(fleet_options or {})
-            )
+            self.fleet = FleetCoordinator(**(fleet_options or {}))
         try:
             self._httpd = ThreadingHTTPServer((host, port), _Handler)
         except OSError as err:

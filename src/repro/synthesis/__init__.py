@@ -9,7 +9,7 @@ termination, :mod:`repro.synthesis.ordering`), §4.2.C (wait removal,
 from repro.synthesis.plan import SearchStats, UpdatePlan
 from repro.synthesis.pruning import ConfigKey, WrongConfigs, make_formula
 from repro.synthesis.ordering import OrderingConstraints
-from repro.synthesis.search import SearchShard, order_update
+from repro.synthesis.search import order_update
 from repro.synthesis.waits import remove_waits
 from repro.synthesis.robust import FailureFinding, RobustnessReport, robustness_report
 from repro.synthesis.synthesizer import UpdateSynthesizer
@@ -21,7 +21,6 @@ __all__ = [
     "WrongConfigs",
     "make_formula",
     "OrderingConstraints",
-    "SearchShard",
     "order_update",
     "remove_waits",
     "UpdateSynthesizer",

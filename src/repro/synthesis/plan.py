@@ -40,9 +40,6 @@ class SearchStats:
     memo_probes: int = 0
     memo_hits: int = 0
     memo_pruned: int = 0
-    # intra-job search sharding: how many shards raced for this plan
-    # (0 = unsharded; set from SearchShard.total by the search)
-    shards: int = 0
     # delta warm start (repro.net.delta): length of the base plan's unit
     # order the search was seeded with, and how many candidate frames it
     # actually steered before the path left the warm prefix
@@ -53,23 +50,6 @@ class SearchStats:
     labeling_seconds: float = 0.0
     sat_seconds: float = 0.0
     memo_seconds: float = 0.0
-
-    def merge(self, other: "SearchStats") -> None:
-        self.model_checks += other.model_checks
-        self.counterexamples += other.counterexamples
-        self.pruned_visited += other.pruned_visited
-        self.pruned_wrong += other.pruned_wrong
-        self.loops_rejected += other.loops_rejected
-        self.backtracks += other.backtracks
-        self.memo_probes += other.memo_probes
-        self.memo_hits += other.memo_hits
-        self.memo_pruned += other.memo_pruned
-        self.shards = max(self.shards, other.shards)
-        self.warm_units = max(self.warm_units, other.warm_units)
-        self.warm_hits += other.warm_hits
-        self.labeling_seconds += other.labeling_seconds
-        self.sat_seconds += other.sat_seconds
-        self.memo_seconds += other.memo_seconds
 
 
 @dataclass

@@ -29,17 +29,11 @@ with and without memoization.
 The search attributes its wall time to phases (labeling, SAT ordering, memo
 probes) in :class:`~repro.synthesis.plan.SearchStats`; the ``repro profile``
 harness aggregates these per suite.
-
-The order space can also be *sharded* (:class:`SearchShard`): each shard
-explores only the orders starting with its round-robin slice of the unit
-list, so the batch service can race disjoint slices of one hard job across
-its worker pool (``repro batch --shards N``) and take the first plan found.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -69,45 +63,6 @@ from repro.synthesis.plan import SearchStats, UpdatePlan
 from repro.synthesis.pruning import WrongConfigs, make_formula
 
 Unit = Hashable
-
-
-@dataclass(frozen=True)
-class SearchShard:
-    """One disjoint slice of the command-order search space.
-
-    Every simple update sequence is determined by its first unit, so
-    partitioning the deterministic unit list by first unit partitions the
-    whole space: shard ``index`` of ``total`` owns exactly the orders whose
-    first unit is ``units[index::total]``.  Shards are raced on the batch
-    service's worker pool (``repro batch --shards N``): any shard finding a
-    plan settles the job, while "my slice is exhausted" (an
-    :class:`~repro.errors.UpdateInfeasibleError` with ``reason="shard"``)
-    proves global infeasibility only once *every* shard reports it.
-    Endpoint violations and SAT early termination (``reason="sat"``) remain
-    global proofs and settle the race immediately.
-
-    >>> sorted(SearchShard(1, 2).first_units(["a", "b", "c", "d"]))
-    ['b', 'd']
-    >>> left = SearchShard(0, 2).first_units(["a", "b", "c", "d"])
-    >>> right = SearchShard(1, 2).first_units(["a", "b", "c", "d"])
-    >>> left & right
-    set()
-    """
-
-    index: int
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.total < 1:
-            raise ValueError(f"shard total must be >= 1, got {self.total}")
-        if not 0 <= self.index < self.total:
-            raise ValueError(
-                f"shard index must be in [0, {self.total}), got {self.index}"
-            )
-
-    def first_units(self, units: Sequence[Unit]) -> Set[Unit]:
-        """The first-step units this shard owns (round-robin slice)."""
-        return set(units[self.index :: self.total])
 
 
 def _class_table(table: Table, tc: TrafficClass) -> Table:
@@ -155,7 +110,6 @@ def order_update(
     use_reachability_heuristic: bool = True,
     timeout: Optional[float] = None,
     memo: Optional[VerdictMemo] = None,
-    shard: Optional[SearchShard] = None,
     warm_order: Optional[Sequence[Unit]] = None,
 ) -> UpdatePlan:
     """Synthesize a careful update sequence from ``init`` to ``final``.
@@ -169,12 +123,6 @@ def order_update(
     this (topology, ingresses, spec); passing one memo to several searches
     shares verdicts across them.  Memoization is verdict-preserving: the
     synthesized plan is identical with ``memo=None``.
-
-    ``shard`` restricts the search to one :class:`SearchShard` slice of the
-    order space (first-unit partition).  A sharded search that exhausts its
-    slice raises :class:`UpdateInfeasibleError` with ``reason="shard"`` —
-    *not* a global infeasibility proof; endpoint violations and SAT early
-    termination keep their global reasons.
 
     ``warm_order`` warm-starts the search from a previous plan's unit order
     (see :meth:`~repro.synthesis.plan.UpdatePlan.unit_order`): while the
@@ -200,13 +148,6 @@ def order_update(
 
     units = _compute_units(init, final, classes, granularity)
     all_units: FrozenSet[Unit] = frozenset(units)
-    # _compute_units is deterministic (sorted diff), so every shard of a
-    # race computes the same list and the first-unit slices are disjoint
-    shard_first: Optional[Set[Unit]] = (
-        shard.first_units(units) if shard is not None else None
-    )
-    if shard is not None:
-        stats.shards = shard.total
 
     # warm start: the base plan's order, restricted to units this problem
     # actually updates (a patch may have added or removed some)
@@ -450,12 +391,7 @@ def order_update(
         stats.memo_seconds += time.perf_counter() - record_start
 
     # ------------------------------------------------------------------
-    root = candidates()
-    if shard_first is not None:
-        # the shard owns only the orders starting inside its slice; the
-        # heuristic ordering within the slice is preserved
-        root = [u for u in root if u in shard_first]
-    stack: List[List[Unit]] = [prefer_warm(root)]
+    stack: List[List[Unit]] = [prefer_warm(candidates())]
     while stack:
         check_deadline()
         frame = stack[-1]
@@ -525,13 +461,6 @@ def order_update(
         stack.append(prefer_warm(candidates()))
 
     stats.synthesis_seconds = time.monotonic() - start
-    if shard is not None and shard.total > 1:
-        raise _infeasible(
-            f"shard {shard.index + 1}/{shard.total} exhausted its slice of "
-            "the order space (not a global infeasibility proof)",
-            stats,
-            reason="shard",
-        )
     raise _infeasible(
         "exhausted the space of simple careful update sequences", stats
     )

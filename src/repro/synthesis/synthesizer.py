@@ -21,7 +21,7 @@ from repro.net.fields import TrafficClass
 from repro.net.topology import NodeId, Topology
 from repro.perf.memo import SharedVerdictMemo, VerdictMemo
 from repro.synthesis.plan import UpdatePlan
-from repro.synthesis.search import SearchShard, order_update
+from repro.synthesis.search import order_update
 from repro.synthesis.waits import remove_waits
 
 
@@ -89,16 +89,11 @@ class UpdateSynthesizer:
         ingresses: Mapping[TrafficClass, Sequence[NodeId]],
         *,
         timeout: Optional[float] = None,
-        shard: Optional[SearchShard] = None,
         warm_order: Optional[Sequence] = None,
     ) -> UpdatePlan:
         """Synthesize a correct update plan, or raise
         :class:`~repro.errors.UpdateInfeasibleError` /
         :class:`~repro.errors.SynthesisTimeout`.
-
-        ``shard`` restricts the search to one slice of the order space (see
-        :class:`~repro.synthesis.search.SearchShard`); the batch service
-        races the slices on its worker pool.
 
         ``warm_order`` seeds the search with a previous plan's unit order
         (:meth:`~repro.synthesis.plan.UpdatePlan.unit_order`) — the delta
@@ -116,7 +111,6 @@ class UpdateSynthesizer:
             use_reachability_heuristic=self.use_reachability_heuristic,
             timeout=timeout,
             memo=self._memo_for(spec, ingresses),
-            shard=shard,
             warm_order=warm_order,
         )
         if self.remove_waits:

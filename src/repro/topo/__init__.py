@@ -12,7 +12,6 @@ from repro.topo.gml import parse_gml, to_gml
 from repro.topo.zoo import builtin_zoo, synthetic_zoo, zoo_topology
 from repro.topo.diamond import (
     DiamondScenario,
-    fan_diamond,
     chained_diamond,
     diamond_on_topology,
     double_diamond,
@@ -29,7 +28,6 @@ __all__ = [
     "synthetic_zoo",
     "zoo_topology",
     "DiamondScenario",
-    "fan_diamond",
     "chained_diamond",
     "diamond_on_topology",
     "ring_diamond",

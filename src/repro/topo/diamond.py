@@ -15,11 +15,7 @@ updated.  The module provides:
   that hold in every configuration of the update;
 * :func:`double_diamond` — two flows routed in opposite directions over the
   same two arcs: switch-granularity updates are provably impossible
-  (Figure 8(h)) while rule-granularity updates succeed (Figure 8(i));
-* :func:`fan_diamond` — ``n`` per-class diamonds whose flips all wait on
-  one shared enabler, with naming adversarial to the search's tie-break:
-  the hard-search workload of the shard-racing benchmark
-  (``repro batch --shards N``).
+  (Figure 8(h)) while rule-granularity updates succeed (Figure 8(i)).
 """
 
 from __future__ import annotations
@@ -231,73 +227,6 @@ def chained_diamond(
         prop=prop,
         init_paths={tc: init_path},
         final_paths={tc: final_path},
-    )
-
-
-def fan_diamond(n: int) -> DiamondScenario:
-    """``n`` diamonds whose flips all wait on one shared enabler switch.
-
-    Class ``c_i`` moves from ``Hs_i → A_i → Xstat → Hd_i`` to
-    ``Hs_i → A_i → Zall → Hd_i``: every flip ``A_i`` blackholes its class
-    until the shared enabler ``Zall`` (empty in the initial configuration)
-    carries the new rules, so the safe orders are exactly "``Zall`` first,
-    then the flips in any order".
-
-    The naming is deliberately adversarial to the search's alphabetical
-    tie-break (flips sort first, the enabler last): with the reachability
-    heuristic disabled, an unsharded search pays one refuted model check
-    per flip before it reaches ``Zall``, while a first-unit shard race
-    (``repro batch --shards N``) bounds that root-level waste at one slice
-    — only the shard owning ``Zall`` can finish, and it skips the other
-    slices' refutations entirely.  This is the workload of
-    ``benchmarks/bench_shard_scaling.py``.  With the heuristic on, the
-    cold enabler is tried first and the instance is easy — the point is a
-    hard *search*, not a hard network.
-    """
-    if n < 2:
-        raise ValueError("need at least two fanned diamonds")
-    topo = Topology()
-    flips = [f"A{i:02d}" for i in range(n)]
-    enabler = "Zall"
-    static = "Xstat"
-    for switch in flips + [enabler, static]:
-        topo.add_switch(switch)
-    sources = [f"Hs{i:02d}" for i in range(n)]
-    sinks = [f"Hd{i:02d}" for i in range(n)]
-    for i in range(n):
-        topo.add_host(sources[i])
-        topo.add_link(sources[i], flips[i])
-        topo.add_host(sinks[i])
-        topo.add_link(flips[i], static)
-        topo.add_link(static, sinks[i])
-        topo.add_link(flips[i], enabler)
-        topo.add_link(enabler, sinks[i])
-    classes = [
-        TrafficClass.make(f"c{i:02d}", dst=sinks[i]) for i in range(n)
-    ]
-    init_paths: Dict[TrafficClass, List[NodeId]] = {}
-    final_paths: Dict[TrafficClass, List[NodeId]] = {}
-    for i, tc in enumerate(classes):
-        init_paths[tc] = [sources[i], flips[i], static, sinks[i]]
-        final_paths[tc] = [sources[i], flips[i], enabler, sinks[i]]
-    init = Configuration.from_paths(topo, init_paths)
-    final = Configuration.from_paths(topo, final_paths)
-    # the old shared segment keeps its rules: Xstat is static scenery, so
-    # the diff is exactly the n flips plus the one shared enabler
-    final = final.with_table(static, init.table(static))
-    spec = specs.all_of(
-        [specs.reachability(tc, sinks[i]) for i, tc in enumerate(classes)]
-    )
-    return DiamondScenario(
-        name=f"fan_diamond_{n}",
-        topology=topo,
-        init=init,
-        final=final,
-        spec=spec,
-        ingresses={tc: [init_paths[tc][0]] for tc in classes},
-        prop="reachability",
-        init_paths={tc: list(p) for tc, p in init_paths.items()},
-        final_paths={tc: list(p) for tc, p in final_paths.items()},
     )
 
 

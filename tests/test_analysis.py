@@ -656,3 +656,33 @@ class TestDocsAndInvariants:
             cwd=str(REPO),
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_check_invariants_rule5_forbids_pickle_in_wire_modules(self, tmp_path):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "check_invariants", REPO / "tools" / "check_invariants.py"
+        )
+        lint = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lint)
+        source = tmp_path / "module.py"
+        source.write_text(
+            "import json\n"
+            "import pickle\n"
+            "import marshal as m\n"
+            "from shelve import open as shelf\n"
+        )
+        for wire in (
+            "src/repro/api/schema.py",
+            "src/repro/fleet/worker.py",
+            "src/repro/service/server.py",
+            "src/repro/service/client.py",
+        ):
+            findings = []
+            lint.check_file(source, findings, rel=wire)
+            assert [f.split(":")[1] for f in findings] == ["2", "3", "4"], findings
+            assert all("wire module" in f for f in findings)
+        # same-host modules (the process pool's memo snapshots) may pickle
+        findings = []
+        lint.check_file(source, findings, rel="src/repro/service/engine.py")
+        assert findings == []

@@ -13,8 +13,6 @@ from repro.api import (
     LeaseRequest,
     SynthesisRequest,
     SynthesisResponse,
-    memo_snapshot_from_wire,
-    memo_snapshot_to_wire,
     options_from_dict,
     options_to_dict,
 )
@@ -117,7 +115,6 @@ class TestOptionsRoundTrip:
             timeout=12.5,
             portfolio=("incremental", "symbolic"),
             memoize=False,
-            shards=3,
             use_plan_cache=False,
         )
         assert options_from_dict(options_to_dict(options)) == options
@@ -145,6 +142,17 @@ class TestOptionsRoundTrip:
         with pytest.raises(ParseError):
             options_from_dict(bad)
 
+    def test_removed_shards_field_is_an_unknown_option(self):
+        """``shards`` left ``repro-api/1`` with search sharding: a document
+        still sending it is a parse error (exit 4, HTTP 400), not silently
+        ignored."""
+        with pytest.raises(ParseError, match="unknown fields.*shards") as err:
+            options_from_dict({"shards": 2})
+        envelope = ErrorEnvelope.from_exception(err.value)
+        assert envelope.code == "parse"
+        assert envelope.exit_code == EXIT_PARSE_ERROR
+        assert "shards" not in options_to_dict(SynthesisOptions())
+
 
 # ----------------------------------------------------------------------
 # requests
@@ -153,7 +161,7 @@ class TestSynthesisRequest:
     def test_round_trip(self):
         request = SynthesisRequest(
             problem=fig1_problem(),
-            options=SynthesisOptions(timeout=5.0, shards=2),
+            options=SynthesisOptions(timeout=5.0, memoize=False),
             job_id="job-x",
         )
         data = request.to_dict()
@@ -324,15 +332,11 @@ class TestFleetDocuments:
             LeaseRequest.from_dict(dict(bad, api=API_VERSION))
 
     def test_lease_grant_round_trip(self):
-        from repro.perf.memo import SharedVerdictMemo
-
         grant = LeaseGrant(
             lease_id="lease-9",
             fingerprint="fp-abc",
             problem=fig1_problem(),
-            options=SynthesisOptions(timeout=4.0, shards=2),
-            scope="scope-xyz",
-            memo=memo_snapshot_to_wire(SharedVerdictMemo().snapshot()),
+            options=SynthesisOptions(timeout=4.0, memoize=False),
             deadline_seconds=12.0,
             attempt=2,
         )
@@ -342,7 +346,8 @@ class TestFleetDocuments:
         assert parsed.lease_id == "lease-9"
         assert parsed.fingerprint == "fp-abc"
         assert parsed.options == grant.options
-        assert parsed.scope == "scope-xyz"
+        # only JSON rides the grant: no memo scope, no memo snapshot
+        assert "scope" not in data and "memo" not in data
         assert parsed.deadline_seconds == 12.0
         assert parsed.attempt == 2
         assert problem_to_dict(parsed.problem) == problem_to_dict(grant.problem)
@@ -371,30 +376,3 @@ class TestFleetDocuments:
     def test_heartbeat_round_trip(self):
         request = HeartbeatRequest(worker_id="w-1", lease_ids=("a", "b"))
         assert HeartbeatRequest.from_dict(request.to_dict()) == request
-
-    @pytest.mark.parametrize(
-        "garbage",
-        [
-            42,  # not a string
-            "not base64!!",
-            "AAAA",  # valid b64, not a pickle
-        ],
-    )
-    def test_memo_wire_rejects_garbage(self, garbage):
-        with pytest.raises(ParseError):
-            memo_snapshot_from_wire(garbage)
-
-    def test_memo_wire_rejects_non_snapshot_pickle(self):
-        import base64
-        import pickle
-
-        wire = base64.b64encode(pickle.dumps({"not": "a snapshot"})).decode()
-        with pytest.raises(ParseError, match="snapshot"):
-            memo_snapshot_from_wire(wire)
-
-    def test_memo_wire_round_trip(self):
-        from repro.perf.memo import MemoSnapshot, SharedVerdictMemo
-
-        snapshot = SharedVerdictMemo().snapshot()
-        decoded = memo_snapshot_from_wire(memo_snapshot_to_wire(snapshot))
-        assert isinstance(decoded, MemoSnapshot)

@@ -30,9 +30,6 @@ class TestRunSuite:
         assert len(doc["corpus"]["families"]) >= 3
         assert len(doc["corpus"]["templates"]) >= 3
         assert doc["totals"]["expected_mismatches"] == []
-        # sharding config is part of the document identity (default: off)
-        assert doc["shards"] == 1
-        assert all("shards" not in row for row in doc["scenarios"])
 
     def test_rows_carry_perf_counters(self, smoke_document):
         rows = smoke_document["scenarios"]
@@ -58,12 +55,6 @@ class TestRunSuite:
         path.write_text(json.dumps({"schema": "other/1"}))
         with pytest.raises(ReproError):
             load_bench(str(path))
-
-    def test_shards_require_a_pool(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="--shards"):
-            run_suite("smoke", quick=True, workers=0, shards=4)
 
     def test_unknown_suite_raises(self):
         with pytest.raises(ReproError):

@@ -1,8 +1,10 @@
-"""Fleet tests: rendezvous routing, the coordinator's lease lifecycle,
-runner integration over real HTTP, lease-loss recovery, and the loadtest
+"""Fleet tests: the coordinator's lease lifecycle, runner integration over
+real HTTP, lease-loss recovery, the JSON-only wire, and the loadtest
 harness (repro.fleet driven through repro.service.server)."""
 
+import base64
 import json
+import pickle
 import threading
 import time
 import urllib.error
@@ -10,11 +12,10 @@ import urllib.request
 
 import pytest
 
-from repro.api import API_VERSION, LeaseCompletion
+from repro.api import API_VERSION, LeaseCompletion, LeaseGrant
 from repro.errors import FleetError, ParseError
-from repro.fleet import FleetCoordinator, FleetWorker, rendezvous_owner
+from repro.fleet import FleetCoordinator, FleetWorker
 from repro.fleet.loadtest import run_loadtest
-from repro.perf.memo import SharedVerdictMemo
 from repro.service import (
     JobStatus,
     ReproClient,
@@ -56,38 +57,6 @@ def fleet_server():
 
 
 # ----------------------------------------------------------------------
-# rendezvous (HRW) routing
-# ----------------------------------------------------------------------
-class TestRendezvous:
-    def test_deterministic_and_member(self):
-        workers = ["w1", "w2", "w3"]
-        owner = rendezvous_owner("scope-a", workers)
-        assert owner in workers
-        for _ in range(3):
-            assert rendezvous_owner("scope-a", workers) == owner
-        # order of the worker set must not matter
-        assert rendezvous_owner("scope-a", reversed(workers)) == owner
-
-    def test_only_departed_workers_scopes_move(self):
-        """The HRW property: removing one worker reassigns only the scopes
-        it owned — every other scope keeps its owner."""
-        workers = [f"w{i}" for i in range(5)]
-        scopes = [f"scope-{i}" for i in range(64)]
-        before = {scope: rendezvous_owner(scope, workers) for scope in scopes}
-        assert len(set(before.values())) > 1, "need a spread to test stability"
-        survivors = [w for w in workers if w != "w2"]
-        for scope in scopes:
-            after = rendezvous_owner(scope, survivors)
-            if before[scope] != "w2":
-                assert after == before[scope]
-            else:
-                assert after in survivors
-
-    def test_empty_worker_set(self):
-        assert rendezvous_owner("scope-a", []) is None
-
-
-# ----------------------------------------------------------------------
 # coordinator lease lifecycle (no HTTP)
 # ----------------------------------------------------------------------
 class TestCoordinatorLifecycle:
@@ -110,9 +79,7 @@ class TestCoordinatorLifecycle:
         return results, done, thread
 
     def test_expired_leases_requeue_then_error_after_max_attempts(self):
-        coordinator = FleetCoordinator(
-            SharedVerdictMemo(), lease_ttl=0.2, steal_after=0.0, max_attempts=2
-        )
+        coordinator = FleetCoordinator(lease_ttl=0.2, max_attempts=2)
         groups = self.make_group()
         results, done, thread = self.run_coordinator(coordinator, groups)
         from repro.api import LeaseRequest
@@ -136,7 +103,7 @@ class TestCoordinatorLifecycle:
         assert coordinator.leases_expired_total == 2
 
     def test_close_settles_open_groups_as_errors(self):
-        coordinator = FleetCoordinator(SharedVerdictMemo())
+        coordinator = FleetCoordinator()
         results, done, thread = self.run_coordinator(coordinator, self.make_group())
         coordinator.close()
         assert done.wait(timeout=10)
@@ -218,22 +185,6 @@ class TestFleetIntegration:
         reply = client.fleet_heartbeat("runner-x", ("lease-404",))
         assert reply["unknown"] == ["lease-404"]
 
-    def test_worker_memo_gossip_reaches_the_pool(self, fleet_server):
-        """A runner's learned verdicts must land in the coordinator's memo
-        stats via the completion merge."""
-        worker, thread = start_worker(fleet_server.url, "gossip-runner")
-        try:
-            client = ReproClient(fleet_server.url)
-            view = client.submit(fig1_problem())
-            assert client.result(view.job_id, timeout=60).status is JobStatus.DONE
-            metrics = client.metrics_dict()
-            # the runner's drained deltas merged into the coordinator pool:
-            # its scopes and merge counter are visible server-side
-            assert metrics["verdict_memo"]["merged"] > 0
-            assert metrics["gauges"]["memo_scopes"] > 0
-        finally:
-            stop_worker(worker, thread)
-
 
 # ----------------------------------------------------------------------
 # lease-loss recovery
@@ -245,7 +196,7 @@ class TestLeaseRecovery:
         with ReproServer(
             port=0,
             fleet=True,
-            fleet_options={"lease_ttl": 0.6, "steal_after": 0.0},
+            fleet_options={"lease_ttl": 0.6},
         ) as srv:
             yield srv
 
@@ -365,6 +316,93 @@ class TestFleetProtocol:
 
 
 # ----------------------------------------------------------------------
+# the wire carries JSON only: nothing a peer sends is ever unpickled
+# ----------------------------------------------------------------------
+class _CreatesFile:
+    """Unpickling this object creates ``path``: proof the receiver ran
+    code chosen by the sender."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _evil_memo(path) -> str:
+    """A ``memo`` field in the shape fleet documents used to carry it."""
+    return base64.b64encode(pickle.dumps(_CreatesFile(path))).decode("ascii")
+
+
+class _ScriptedCoordinator:
+    """Stands in for a coordinator's client: hands out the given grant
+    documents, then records what the runner sends back."""
+
+    def __init__(self, *grant_documents):
+        self.grants = list(grant_documents)
+        self.completions = []
+
+    def fleet_lease(self, worker_id, *, max_groups=1, wait=0.0):
+        if not self.grants:
+            return []
+        return [LeaseGrant.from_dict(self.grants.pop(0))]
+
+    def fleet_complete(self, completion):
+        self.completions.append(completion.to_dict())
+        return {"accepted": True, "known": True}
+
+    def fleet_heartbeat(self, worker_id, lease_ids):
+        return {"unknown": []}
+
+
+class TestJsonOnlyWire:
+    def test_completion_memo_pickle_never_runs_on_the_coordinator(
+        self, fleet_server, tmp_path
+    ):
+        marker = tmp_path / "coordinator-pwned"
+        body = {
+            "api": API_VERSION,
+            "lease": "lease-unknown",
+            "worker": "attacker",
+            "payload": {"status": "error", "seconds": 0.0},
+            "memo": _evil_memo(marker),
+        }
+        request = urllib.request.Request(
+            fleet_server.url + "/v1/fleet/complete",
+            data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        try:
+            reply = json.loads(urllib.request.urlopen(request).read())
+        finally:
+            assert not marker.exists(), "the coordinator unpickled a peer's memo"
+        # an unknown lease is simply not accepted
+        assert reply["accepted"] is False and reply["known"] is False
+
+    def test_grant_memo_pickle_never_runs_on_the_worker(self, tmp_path):
+        marker = tmp_path / "worker-pwned"
+        grant = LeaseGrant(
+            lease_id="lease-1",
+            fingerprint="fp",
+            problem=fig1_problem(),
+            options=SynthesisOptions(),
+        ).to_dict()
+        grant["scope"] = "scope-1"
+        grant["memo"] = _evil_memo(marker)
+        coordinator = _ScriptedCoordinator(grant)
+        worker = FleetWorker(client=coordinator, worker_id="runner")
+        try:
+            assert worker.run(max_leases=1) == 1
+        finally:
+            worker.close()
+            assert not marker.exists(), "the worker unpickled a grant's memo"
+        (completion,) = coordinator.completions
+        assert completion["payload"]["status"] == "done"
+        assert "memo" not in completion
+
+
+# ----------------------------------------------------------------------
 # the plan-cache gate (use_plan_cache)
 # ----------------------------------------------------------------------
 class TestPlanCacheGate:
@@ -414,11 +452,18 @@ class TestLoadtest:
                 "plan_cache",
             ):
                 assert key in entry
-        cold, warm = report["rounds"]
-        # acceptance: gossip demonstrably working — the repeated round's
-        # memo hit rate beats the cold one's
-        assert warm["memo"]["hit_rate"] > cold["memo"]["hit_rate"]
+        # runners keep their verdict memos: a fleet coordinator has no memo
+        # rates to report, rather than a misleading zero
+        assert all(entry["memo"] is None for entry in report["rounds"])
         assert report["fleet"]["per_worker"]["lt-worker-1"]["completed"] > 0
+
+        # a local server runs the searches itself: its repeated round
+        # re-synthesizes against the memo the first round warmed
+        local = run_loadtest(suite="smoke", clients=3, rounds=2, max_jobs=6)
+        assert local["ok"], local["failures"]
+        assert local["fleet"] is None
+        cold, warm = local["rounds"]
+        assert warm["memo"]["hit_rate"] > cold["memo"]["hit_rate"]
 
     def test_rejects_fleet_workers_with_external_server(self):
         from repro.errors import ReproError

@@ -276,6 +276,25 @@ class TestCli:
         assert stdout_doc["ok"] is True
         assert json.loads(out.read_text())["runs"] == stdout_doc["runs"]
 
+    def test_report_loads_lines_recorded_with_removed_shards_option(
+        self, tmp_path, smoke_document, capsys
+    ):
+        """History lines written while ``shards`` was a bench option (in
+        the line's ``options`` and the embedded document) still load, and
+        compare equal in configuration to lines recorded without it."""
+        old = history_line(copy.deepcopy(smoke_document))
+        old["options"]["shards"] = 1
+        old["bench"]["shards"] = 1
+        path = tmp_path / "HISTORY.jsonl"
+        path.write_text(json.dumps(old) + "\n")
+        append_history(smoke_document, str(path))
+        entries = load_history(str(path))
+        assert entries[0]["options"] == entries[1]["options"]
+        assert "shards" not in entries[1]["options"]
+        assert main(["report", str(path), "--json"]) == 0
+        notes = json.loads(capsys.readouterr().out)["regressions"]["notes"]
+        assert not any("configuration differs" in note for note in notes)
+
     def test_report_missing_history_exits_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.jsonl")]) == 1
         assert "no bench history" in capsys.readouterr().err

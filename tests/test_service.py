@@ -122,11 +122,23 @@ class TestPlanRoundTrip:
 
     def test_plan_roundtrip(self):
         plan = self.make_plan()
-        plan.stats.shards = 4
+        plan.stats.warm_units = 4
         clone = plan_from_dict(plan_to_dict(plan), {TC.name: TC})
         assert clone.granularity == "rule"
         assert clone.commands == plan.commands
-        assert clone.stats.shards == 4
+        assert clone.stats.warm_units == 4
+
+    def test_plan_document_with_removed_shards_stat_loads(self):
+        """Plan documents written before search sharding was removed (disk
+        plan-cache entries, committed bench baselines) carry
+        ``stats.shards``; they must still load."""
+        plan = self.make_plan()
+        data = plan_to_dict(plan)
+        assert "shards" not in data["stats"]
+        data["stats"]["shards"] = 1
+        clone = plan_from_dict(data, {TC.name: TC})
+        assert clone.commands == plan.commands
+        assert not hasattr(clone.stats, "shards")
 
     def test_unknown_class_falls_back_to_nameonly(self):
         data = command_to_dict(RuleGranUpdate("A1", TC, Table([])))
@@ -406,49 +418,6 @@ class TestServicePool:
         assert memo["merged"] > 0, "no worker delta reached the service pool"
         assert memo["hits"] > 0
         assert memo["scopes"] == 1
-
-
-class TestServiceShards:
-    def test_sharded_job_finds_a_valid_plan(self):
-        service = SynthesisService(workers=2)
-        service.submit(
-            scenario_problem(ring_diamond(8, seed=2)),
-            job_id="hard",
-            options=SynthesisOptions(shards=4),
-        )
-        result = service.run()[0]
-        assert result.status is JobStatus.DONE
-        assert result.plan.stats.shards == 4
-        assert result.plan.num_updates() > 0
-
-    def test_single_sharded_job_uses_the_pool(self):
-        # one job, one backend, shards=4 → 4 tasks: worth spinning up the
-        # pool even though there is only one job (the point of sharding)
-        service = SynthesisService(workers=2)
-        service.submit(
-            fig1_problem(), options=SynthesisOptions(shards=4)
-        )
-        result = service.run()[0]
-        assert result.status is JobStatus.DONE
-        assert result.plan.stats.shards == 4
-
-    def test_all_shards_exhausted_is_global_infeasibility(self):
-        service = SynthesisService(workers=2)
-        service.submit(
-            scenario_problem(double_diamond(8, seed=1)),
-            job_id="impossible",
-            options=SynthesisOptions(shards=3, use_early_termination=False),
-        )
-        result = service.run()[0]
-        assert result.status is JobStatus.INFEASIBLE
-        assert "shard" in result.message
-
-    def test_serial_path_ignores_sharding(self):
-        service = SynthesisService(workers=0)
-        service.submit(fig1_problem(), options=SynthesisOptions(shards=4))
-        result = service.run()[0]
-        assert result.status is JobStatus.DONE
-        assert result.plan.stats.shards == 0  # ran unsharded
 
 
 class TestServicePoolFailures:
@@ -846,25 +815,13 @@ class TestBatchCli:
             main(["batch", path, "--portfolio", "increnemtal"])
         assert "unknown backend" in capsys.readouterr().err
 
-    def test_batch_shards_flag(self, tmp_path, capsys):
-        path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--workers", "2", "--shards", "2"]) == 0
-        entry = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert entry["status"] == "done"
-        assert entry["plan"]["stats"]["shards"] == 2
-
     def test_batch_rejects_bad_shards(self, tmp_path, capsys):
+        # search sharding is gone: any --shards is an unknown flag now
         path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--shards", "0"]) == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", path, "--shards", "2"])
+        assert exc.value.code == 2
         assert "--shards" in capsys.readouterr().err
-
-    def test_batch_serial_shards_warns(self, tmp_path, capsys):
-        path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--serial", "--shards", "2",
-                     "--no-plans"]) == 0
-        captured = capsys.readouterr()
-        assert "running unsharded" in captured.err
-        assert json.loads(captured.out.splitlines()[0])["status"] == "done"
 
     def test_batch_portfolio_accepts_spaces(self, tmp_path, capsys):
         path = self.write_jsonl(tmp_path, self.batch_docs()[:1])

@@ -11,7 +11,6 @@ from repro.topo import (
     chained_diamond,
     diamond_on_topology,
     double_diamond,
-    fan_diamond,
     fat_tree,
     mini_datacenter,
     parse_gml,
@@ -233,27 +232,3 @@ class TestDiamonds:
         sc = double_diamond(12)
         assert len(sc.classes) == 2
         assert not sc.expected_feasible
-
-    def test_fan_diamond_forces_the_enabler_first(self):
-        from repro.errors import UpdateInfeasibleError
-        from repro.synthesis import order_update
-
-        sc = fan_diamond(4)
-        assert len(sc.classes) == 4
-        assert sc.units_updating() == 5  # 4 flips + the shared enabler
-        # the shared enabler must be the first update in any plan
-        plan = order_update(
-            sc.topology, sc.init, sc.final, sc.ingresses, sc.spec,
-            use_reachability_heuristic=False,
-        )
-        updates = [c.switch for c in plan.updates()]
-        assert updates[0] == "Zall"
-        # and the adversarial naming makes the heuristic-off search pay a
-        # refuted check per flip before finding it
-        assert plan.stats.counterexamples >= 3
-        # sanity: no flip-first order exists
-        final_flip_first = sc.init.with_table("A00", sc.final.table("A00"))
-        with pytest.raises(UpdateInfeasibleError):
-            order_update(
-                sc.topology, final_flip_first, sc.init, sc.ingresses, sc.spec,
-            )

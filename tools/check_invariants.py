@@ -16,6 +16,11 @@ Enforces repo-specific rules generic linters can't see:
    pass a timezone.
 4. **No mutable default arguments** (``def f(x=[])``), anywhere under
    ``src/``.
+5. **No code-running deserializers in wire modules.**  Everything under
+   ``src/repro/api/`` and ``src/repro/fleet/``, plus the HTTP server and
+   client, parses documents a network peer sent; the wire is JSON only,
+   so these modules may not import ``pickle``, ``marshal`` or ``shelve``
+   (unpickling runs code the sender chose).
 
 Exit status 0 when clean, 1 with ``file:line: message`` findings otherwise.
 Run from the repo root: ``python tools/check_invariants.py``.
@@ -40,6 +45,13 @@ WIRE_MODULES = (
     "src/repro/analysis/diagnostics.py",
 )
 
+#: modules that parse what a network peer sends (rule 5)
+JSON_WIRE_PACKAGES = ("src/repro/api/", "src/repro/fleet/")
+JSON_WIRE_MODULES = ("src/repro/service/server.py", "src/repro/service/client.py")
+
+#: stdlib modules whose loaders run code chosen by the data's author
+CODE_RUNNING_DESERIALIZERS = frozenset(("pickle", "marshal", "shelve"))
+
 SCHEMA_MODULE = "src/repro/api/schema.py"
 API_DOC = "docs/API.md"
 
@@ -50,12 +62,32 @@ def _iter_defaults(node: ast.AST):
         yield default
 
 
-def check_file(path: Path, findings: list) -> None:
-    rel = path.relative_to(REPO).as_posix()
+def _imported_modules(node: ast.AST):
+    """Top-level module names an import statement binds (none otherwise)."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def check_file(path: Path, findings: list, *, rel: str = "") -> None:
+    """Lint one file; ``rel`` overrides its repo-relative path (tests)."""
+    rel = rel or path.relative_to(REPO).as_posix()
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     is_wire = rel in WIRE_MODULES
+    is_json_wire = rel.startswith(JSON_WIRE_PACKAGES) or rel in JSON_WIRE_MODULES
 
     for node in ast.walk(tree):
+        # rule 5: code-running deserializers in modules peers talk to
+        if is_json_wire:
+            for module in _imported_modules(node):
+                if module in CODE_RUNNING_DESERIALIZERS:
+                    findings.append(
+                        f"{rel}:{node.lineno}: {module} imported in a wire "
+                        "module (the wire is JSON only; loading it runs "
+                        "code the sender chose)"
+                    )
         # rule 1: builtin hash() in wire modules
         if (
             is_wire
